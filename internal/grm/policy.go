@@ -7,7 +7,9 @@
 package grm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"integrade/internal/sim"
 	"integrade/internal/trading"
@@ -61,6 +63,42 @@ func boolProp(o trading.Offer, key string) bool {
 	return b
 }
 
+// scoredOffer is one candidate's precomputed sort keys (primary a,
+// secondary b) and its position in the policy's input.
+type scoredOffer struct {
+	a, b float64
+	i    int
+}
+
+// orderByScore returns offers sorted by (a desc, b desc, input position
+// asc), where keys computes each offer's (a, b) exactly once. The input
+// position makes the order total, so the result equals a stable sort on
+// (a desc, b desc) while the comparator reads no properties.
+func orderByScore(offers []trading.Offer, keys func(o *trading.Offer) (a, b float64)) []trading.Offer {
+	if len(offers) == 0 {
+		return nil
+	}
+	scored := make([]scoredOffer, len(offers))
+	for i := range offers {
+		a, b := keys(&offers[i])
+		scored[i] = scoredOffer{a: a, b: b, i: i}
+	}
+	slices.SortFunc(scored, func(x, y scoredOffer) int {
+		if c := cmp.Compare(y.a, x.a); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(y.b, x.b); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	out := make([]trading.Offer, len(offers))
+	for j, sc := range scored {
+		out[j] = offers[sc.i]
+	}
+	return out
+}
+
 // BestFit prefers nodes with the most free CPU, breaking ties toward more
 // free RAM — a pure load-balance policy blind to usage patterns.
 type BestFit struct{}
@@ -74,15 +112,9 @@ func (BestFit) pureOrder() {}
 
 // Order implements Policy.
 func (BestFit) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	out := append([]trading.Offer(nil), offers...)
-	sort.SliceStable(out, func(i, j int) bool {
-		fi, fj := numProp(out[i], PropMIPSFree), numProp(out[j], PropMIPSFree)
-		if fi != fj {
-			return fi > fj
-		}
-		return numProp(out[i], PropRAMFree) > numProp(out[j], PropRAMFree)
+	return orderByScore(offers, func(o *trading.Offer) (float64, float64) {
+		return numProp(*o, PropMIPSFree), numProp(*o, PropRAMFree)
 	})
-	return out
 }
 
 // UsageAware prefers nodes predicted to stay idle the longest (dedicated
@@ -99,25 +131,16 @@ func (UsageAware) pureOrder() {}
 
 // Order implements Policy.
 func (UsageAware) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	score := func(o trading.Offer) float64 {
-		idle := numProp(o, PropPredictedIdle)
-		if boolProp(o, PropDedicated) {
+	return orderByScore(offers, func(o *trading.Offer) (float64, float64) {
+		idle := numProp(*o, PropPredictedIdle)
+		if boolProp(*o, PropDedicated) {
 			idle = 7 * 24 * 3600
 		}
-		if boolProp(o, PropOwnerBusy) {
+		if boolProp(*o, PropOwnerBusy) {
 			idle = 0
 		}
-		return idle
-	}
-	out := append([]trading.Offer(nil), offers...)
-	sort.SliceStable(out, func(i, j int) bool {
-		si, sj := score(out[i]), score(out[j])
-		if si != sj {
-			return si > sj
-		}
-		return numProp(out[i], PropMIPSFree) > numProp(out[j], PropMIPSFree)
+		return idle, numProp(*o, PropMIPSFree)
 	})
-	return out
 }
 
 // Random shuffles candidates uniformly — the naive baseline.
@@ -146,16 +169,30 @@ func (*RoundRobin) Name() string { return "round-robin" }
 
 // Order implements Policy.
 func (r *RoundRobin) Order(offers []trading.Offer, _ *sim.RNG) []trading.Offer {
-	out := append([]trading.Offer(nil), offers...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ni, _ := out[i].Properties[PropNode].AsString()
-		nj, _ := out[j].Properties[PropNode].AsString()
-		return ni < nj
-	})
-	if len(out) == 0 {
-		return out
+	if len(offers) == 0 {
+		return nil
 	}
+	type named struct {
+		node string
+		i    int
+	}
+	byNode := make([]named, len(offers))
+	for i := range offers {
+		node, _ := offers[i].Properties[PropNode].AsString()
+		byNode[i] = named{node: node, i: i}
+	}
+	slices.SortFunc(byNode, func(x, y named) int {
+		if c := strings.Compare(x.node, y.node); c != 0 {
+			return c
+		}
+		return cmp.Compare(x.i, y.i)
+	})
+	out := make([]trading.Offer, len(offers))
+	// Emit the node-ID order rotated to start at r.next.
 	start := r.next % len(out)
 	r.next++
-	return append(out[start:], out[:start]...)
+	for j := range out {
+		out[j] = offers[byNode[(start+j)%len(out)].i]
+	}
+	return out
 }

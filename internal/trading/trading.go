@@ -11,18 +11,21 @@
 // The offer index is sharded copy-on-write (DESIGN.md §16): each service
 // type owns shardsPerType shards keyed by the exporting object reference,
 // and each shard publishes its live offers as an immutable snapshot behind
-// an atomic.Pointer. Select loads the snapshots with no locks and merges
-// them in export-sequence order, so readers never contend with writers and
-// concurrent Export/Withdraw on different shards never contend with each
-// other. Writers rebuild only their own shard's snapshot (copy, mutate the
-// copy, swap under the shard mutex — the PR 4 ORB registry pattern).
+// an atomic.Pointer. Select loads the snapshots with no locks, keeps the
+// matching offers and sorts only those, so readers never contend with
+// writers and concurrent Export/Withdraw on different shards never contend
+// with each other. Writers rebuild only their own shard's snapshot (copy,
+// mutate the copy, swap under the shard mutex — the ORB registry pattern).
 package trading
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,9 +62,9 @@ type Offer struct {
 	// of the trader (the staleness the Information Update Protocol bounds).
 	Expires time.Time
 
-	// seq is the service-assigned export sequence number, the sort key of
-	// the per-type offer index. Offers constructed by callers have seq 0;
-	// Export assigns the real one.
+	// seq is the service-assigned export sequence number: the order Select
+	// and All report offers in, and the order of each shard's snapshot.
+	// Offers constructed by callers have seq 0; Export assigns the real one.
 	seq int
 }
 
@@ -102,9 +105,11 @@ var emptySnap = &shardSnap{}
 // shard is one copy-on-write slice of a service type's offer index.
 type shard struct {
 	// mu serializes snapshot rebuilds and guards byRef. Readers never take
-	// it: they load snap and walk the immutable snapshot.
+	// it: they load snap and walk the immutable snapshot. Writers register
+	// new offers in the Service registry while holding it.
 	//
 	//lint:guards snap
+	//lint:lockorder trading.shard.mu<trading.Service.mu
 	mu   sync.Mutex
 	snap atomic.Pointer[shardSnap]
 	// byRef is the per-ref reverse index: every live offer in this shard's
@@ -140,12 +145,16 @@ type offerLoc struct {
 // Offers are indexed three ways: a registry by ID for describe/withdraw,
 // per-(type, ref-hash) shard snapshots holding the live offers in ascending
 // seq order (the lock-free read path), and a per-shard reverse index by
-// exporting reference (the keyed-upsert/eviction path). Keeping every shard
-// sorted by seq is what lets Select merge shards into the exact global
-// export order with no per-query sort (DESIGN.md §13, §16).
+// exporting reference (the keyed-upsert/eviction path). Readers do not rely
+// on the shard order: Select scans the shards in any order and sorts only
+// the offers that matched (DESIGN.md §16). The reverse index does: its
+// per-ref lists must be oldest first, because a keyed upsert replaces the
+// ref's oldest offer.
 type Service struct {
 	// seq is the global export sequence; atomic so concurrent exports on
-	// different shards never serialize on it.
+	// different shards never serialize on it. Single exports draw from it
+	// under their shard's mutex, so within a shard seq order is publication
+	// order.
 	seq atomic.Int64
 	// version counts index mutations. Readers that cache Select results
 	// (the GRM's batch matcher) revalidate against it: an unchanged version
@@ -221,10 +230,9 @@ func (s *Service) Export(o Offer) (string, error) {
 	if o.ServiceType == "" {
 		return "", fmt.Errorf("trading: offer without service type")
 	}
-	off := s.prepare(o)
+	off := copyProps(o)
 	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(nil, off, s.now())
-	s.commit(off, sh, removed)
+	s.commit(s.insert(sh, nil, off, s.now()))
 	return off.ID, nil
 }
 
@@ -237,17 +245,18 @@ func (s *Service) ExportKeyed(o Offer) (string, error) {
 	if o.ServiceType == "" {
 		return "", fmt.Errorf("trading: offer without service type")
 	}
-	off := s.prepare(o)
+	off := copyProps(o)
 	sh := &s.ensureType(o.ServiceType).shards[refShard(o.Ref)]
-	removed := sh.insert(&off.Ref, off, s.now())
-	s.commit(off, sh, removed)
+	s.commit(s.insert(sh, &off.Ref, off, s.now()))
 	return off.ID, nil
 }
 
 // ExportBatch registers many offers in one pass, rebuilding each touched
 // shard exactly once instead of once per offer. This is the bulk-load path:
 // priming a bench fleet or replaying a replication snapshot costs O(n)
-// instead of the O(n²/shards) of n sequential Exports.
+// instead of the O(n²/shards) of n sequential Exports. The batch takes its
+// sequence numbers in input order before any shard lock is held, so each
+// shard merges its share of the batch into seq position.
 func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	for i := range offers {
 		if offers[i].ServiceType == "" {
@@ -258,7 +267,8 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	buckets := make(map[*shard][]*Offer)
 	var order []*shard
 	for i := range offers {
-		off := s.prepare(offers[i])
+		off := copyProps(offers[i])
+		stamp(off, &s.seq)
 		ids[i] = off.ID
 		sh := &s.ensureType(off.ServiceType).shards[refShard(off.Ref)]
 		if _, seen := buckets[sh]; !seen {
@@ -269,29 +279,15 @@ func (s *Service) ExportBatch(offers []Offer) ([]string, error) {
 	now := s.now()
 	var removed []*Offer
 	for _, sh := range order {
-		adds := buckets[sh]
-		removed = append(removed, sh.insertBatch(adds, now)...)
-		s.mu.Lock()
-		for _, off := range adds {
-			s.ids[off.ID] = offerLoc{offer: off, shard: sh}
-		}
-		s.mu.Unlock()
+		removed = append(removed, s.insertBatch(sh, buckets[sh], now)...)
 	}
-	s.mu.Lock()
-	for _, off := range removed {
-		delete(s.ids, off.ID)
-	}
-	s.mu.Unlock()
-	s.version.Add(1)
+	s.commit(removed)
 	return ids, nil
 }
 
-// prepare assigns the offer its sequence number and ID and deep-copies the
-// caller's properties.
-func (s *Service) prepare(o Offer) *Offer {
-	seq := int(s.seq.Add(1))
-	o.ID = fmt.Sprintf("offer-%d", seq)
-	o.seq = seq
+// copyProps returns the service's own copy of a caller's offer, with the
+// properties deep-copied. It runs before any shard lock is taken.
+func copyProps(o Offer) *Offer {
 	props := make(constraint.Properties, len(o.Properties))
 	for k, v := range o.Properties {
 		props[k] = v
@@ -300,13 +296,29 @@ func (s *Service) prepare(o Offer) *Offer {
 	return &o
 }
 
-// commit finishes a single-offer mutation: the registry learns the new
-// offer and forgets the removed ones, and the version advances.
-func (s *Service) commit(added *Offer, sh *shard, removed []*Offer) {
+// stamp assigns an offer the next export sequence number and its ID.
+func stamp(o *Offer, seq *atomic.Int64) {
+	n := int(seq.Add(1))
+	o.seq = n
+	o.ID = "offer-" + strconv.Itoa(n)
+}
+
+// register records new offers in the registry. Writers call it under the
+// offers' shard mutex, before the snapshot that publishes them is stored:
+// a later rebuild that drops one of them can only start after that, so its
+// commit never runs before the registry entry exists.
+func (s *Service) register(sh *shard, adds ...*Offer) {
 	s.mu.Lock()
-	if added != nil {
-		s.ids[added.ID] = offerLoc{offer: added, shard: sh}
+	for _, off := range adds {
+		s.ids[off.ID] = offerLoc{offer: off, shard: sh}
 	}
+	s.mu.Unlock()
+}
+
+// commit finishes a mutation: the registry forgets the offers that left
+// the index, and the version advances.
+func (s *Service) commit(removed []*Offer) {
+	s.mu.Lock()
 	for _, off := range removed {
 		delete(s.ids, off.ID)
 	}
@@ -315,17 +327,24 @@ func (s *Service) commit(added *Offer, sh *shard, removed []*Offer) {
 }
 
 // insert is the copy-on-write writer for one new offer: under sh.mu it
-// builds a fresh snapshot without the victim (when victimOldestOf is
-// non-nil, the ref's oldest existing offer — the keyed-upsert semantics)
-// and without any offer past its expiry, appends add (its seq is the
-// highest, so append preserves order), maintains byRef, and swaps the
-// snapshot in. It returns every offer that left the snapshot — the victim
-// plus compacted expired offers — for registry cleanup.
+// stamps and registers add, builds a fresh snapshot without the victim
+// (when victimOldestOf is non-nil, the ref's oldest existing offer — the
+// keyed-upsert semantics) and without any offer past its expiry, appends
+// add, maintains byRef, and swaps the snapshot in. It
+// returns every offer that left the snapshot — the victim plus compacted
+// expired offers — for registry cleanup.
+//
+// Stamping under sh.mu is what makes the appends correct: every offer
+// already in the shard took its seq earlier (a single export under this
+// same mutex, a batch before its insertBatch), so add's seq is the
+// shard's highest and both the snapshot and byRef stay oldest first.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) insert(victimOldestOf *orb.ObjectRef, add *Offer, now time.Time) []*Offer {
+func (s *Service) insert(sh *shard, victimOldestOf *orb.ObjectRef, add *Offer, now time.Time) []*Offer {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	stamp(add, &s.seq)
+	s.register(sh, add)
 	var drop *Offer
 	if victimOldestOf != nil {
 		if prev := sh.byRef[*victimOldestOf]; len(prev) > 0 {
@@ -343,19 +362,21 @@ func (sh *shard) insert(victimOldestOf *orb.ObjectRef, add *Offer, now time.Time
 		}
 		next.offers = append(next.offers, o)
 	}
-	next.offers = append(next.offers, add)
-	sh.byRef[add.Ref] = append(sh.byRef[add.Ref], add)
+	next.offers = append(next.offers, sh.addRefLocked(add))
 	sh.snap.Store(next)
 	return removed
 }
 
-// insertBatch is insert for a batch of appends sharing one snapshot swap.
-// adds must be in ascending seq order.
+// insertBatch is insert for a batch of already-stamped offers sharing one
+// snapshot swap. adds must be in ascending seq order. A single export may
+// have stamped and published a higher seq since the batch was stamped, so
+// the adds are merged into seq position rather than appended.
 //
 //lint:coldpath copy-on-write shard rebuild: the writer slow path
-func (sh *shard) insertBatch(adds []*Offer, now time.Time) []*Offer {
+func (s *Service) insertBatch(sh *shard, adds []*Offer, now time.Time) []*Offer {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	s.register(sh, adds...)
 	cur := sh.snap.Load()
 	next := &shardSnap{offers: make([]*Offer, 0, len(cur.offers)+len(adds))}
 	var removed []*Offer
@@ -365,14 +386,29 @@ func (sh *shard) insertBatch(adds []*Offer, now time.Time) []*Offer {
 			sh.dropRefLocked(o)
 			continue
 		}
+		for len(adds) > 0 && adds[0].seq < o.seq {
+			next.offers = append(next.offers, sh.addRefLocked(adds[0]))
+			adds = adds[1:]
+		}
 		next.offers = append(next.offers, o)
 	}
 	for _, add := range adds {
-		next.offers = append(next.offers, add)
-		sh.byRef[add.Ref] = append(sh.byRef[add.Ref], add)
+		next.offers = append(next.offers, sh.addRefLocked(add))
 	}
 	sh.snap.Store(next)
 	return removed
+}
+
+// addRefLocked files o in the reverse index at its seq position, keeping
+// the ref's list oldest first, and returns o. Caller holds sh.mu.
+func (sh *shard) addRefLocked(o *Offer) *Offer {
+	list := sh.byRef[o.Ref]
+	i := len(list)
+	for i > 0 && list[i-1].seq > o.seq {
+		i--
+	}
+	sh.byRef[o.Ref] = slices.Insert(list, i, o)
+	return o
 }
 
 // remove rebuilds the snapshot without victim (when non-nil) and without
@@ -451,7 +487,7 @@ func (s *Service) Withdraw(id string) error {
 	}
 	sh := loc.shard
 	removed := sh.remove(loc.offer, s.now())
-	s.commit(nil, nil, removed)
+	s.commit(removed)
 	// The registry entry survives a rebuild that compacted the offer as
 	// expired before we reached it; drop it either way.
 	s.mu.Lock()
@@ -472,7 +508,7 @@ func (s *Service) WithdrawRef(serviceType string, ref orb.ObjectRef) int {
 	sh := &ts.shards[refShard(ref)]
 	removed, count := sh.removeRef(ref, s.now())
 	if len(removed) > 0 {
-		s.commit(nil, nil, removed)
+		s.commit(removed)
 	}
 	return count
 }
@@ -521,60 +557,44 @@ func (s *Service) countType(serviceType string, now time.Time) int {
 // export-sequence order — a deterministic snapshot for failover checks and
 // observability, bypassing constraint evaluation.
 func (s *Service) All(serviceType string) []Offer {
+	types := []string{serviceType}
+	if serviceType == "" {
+		types = types[:0]
+		for t := range *s.types.Load() {
+			types = append(types, t)
+		}
+		sort.Strings(types)
+	}
+	now := s.now()
 	var out []Offer
-	if serviceType != "" {
-		s.mergeType(serviceType, func(o *Offer) { out = append(out, cloneOffer(o)) })
-		return out
-	}
-	tm := *s.types.Load()
-	types := make([]string, 0, len(tm))
-	for t := range tm {
-		types = append(types, t)
-	}
-	sort.Strings(types)
+	var live []*Offer
 	for _, t := range types {
-		s.mergeType(t, func(o *Offer) { out = append(out, cloneOffer(o)) })
+		ts := s.typeIndex(t)
+		if ts == nil {
+			continue
+		}
+		live = live[:0]
+		for i := range ts.shards {
+			for _, o := range ts.shards[i].snap.Load().offers {
+				if !o.expired(now) {
+					live = append(live, o)
+				}
+			}
+		}
+		slices.SortFunc(live, func(a, b *Offer) int { return cmp.Compare(a.seq, b.seq) })
+		for _, o := range live {
+			out = append(out, cloneOffer(o))
+		}
 	}
 	return out
 }
 
-// mergeType walks a type's live offers in ascending global seq order by
-// merging the per-shard snapshots (each already seq-sorted), invoking visit
-// for every non-expired offer.
-func (s *Service) mergeType(serviceType string, visit func(*Offer)) {
-	ts := s.typeIndex(serviceType)
-	if ts == nil {
-		return
-	}
-	now := s.now()
-	// Load every shard snapshot once; heads holds each shard's unconsumed
-	// suffix. The arrays live on the stack — no per-query allocation.
-	var heads [shardsPerType][]*Offer
-	active := 0
-	for i := range ts.shards {
-		if offers := ts.shards[i].snap.Load().offers; len(offers) > 0 {
-			heads[active] = offers
-			active++
-		}
-	}
-	for active > 0 {
-		best := 0
-		for i := 1; i < active; i++ {
-			if heads[i][0].seq < heads[best][0].seq {
-				best = i
-			}
-		}
-		o := heads[best][0]
-		if heads[best] = heads[best][1:]; len(heads[best]) == 0 {
-			active--
-			heads[best] = heads[active]
-			heads[active] = nil
-		}
-		if o.expired(now) {
-			continue
-		}
-		visit(o)
-	}
+// ranked is one matched offer with its preference score, the sort record of
+// Select.
+type ranked struct {
+	o     *Offer
+	score float64
+	seq   int
 }
 
 // Select evaluates a query, returning matching offers best-first. Each
@@ -629,47 +649,47 @@ func (s *Service) SelectShared(q Query) ([]Offer, error) {
 		}
 	}
 
-	// Shard merge yields candidates in ascending seq — the exact iteration
-	// order of the old single-index trader, so downstream output is
-	// byte-identical.
-	var matched []*Offer
-	var scores []float64
-	s.mergeType(q.ServiceType, func(o *Offer) {
-		if cons != nil {
-			ok, err := cons.Eval(o.Properties)
-			if err != nil || !ok {
-				return
+	// Scan the shards in any order, keeping the live matching offers, then
+	// sort only those by (score desc, seq asc). Seqs are unique, so that is
+	// a total order and equals a stable sort by score of the offers in
+	// export order: the seed's single-index iteration order, so downstream
+	// output is byte-identical. (cmp.Compare puts a NaN score last, where
+	// a comparator-driven stable sort had no defined place for it.)
+	var matched []ranked
+	if ts := s.typeIndex(q.ServiceType); ts != nil {
+		now := s.now()
+		for i := range ts.shards {
+			for _, o := range ts.shards[i].snap.Load().offers {
+				if o.expired(now) {
+					continue
+				}
+				if cons != nil {
+					if ok, err := cons.Eval(o.Properties); err != nil || !ok {
+						continue
+					}
+				}
+				score := 0.0
+				if pref != nil {
+					if v, err := pref.EvalNumber(o.Properties); err == nil {
+						score = v
+					}
+				}
+				matched = append(matched, ranked{o: o, score: score, seq: o.seq})
 			}
 		}
-		score := 0.0
-		if pref != nil {
-			if v, err := pref.EvalNumber(o.Properties); err == nil {
-				score = v
-			}
-		}
-		matched = append(matched, o)
-		scores = append(scores, score)
-	})
-	if pref != nil {
-		idx := make([]int, len(matched))
-		for i := range idx {
-			idx[i] = i
-		}
-		sort.SliceStable(idx, func(i, j int) bool {
-			return scores[idx[i]] > scores[idx[j]]
-		})
-		reordered := make([]*Offer, len(matched))
-		for i, j := range idx {
-			reordered[i] = matched[j]
-		}
-		matched = reordered
 	}
+	slices.SortFunc(matched, func(a, b ranked) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
 	if q.Limit > 0 && len(matched) > q.Limit {
 		matched = matched[:q.Limit]
 	}
 	out := make([]Offer, 0, len(matched))
-	for _, o := range matched {
-		out = append(out, *o)
+	for _, r := range matched {
+		out = append(out, *r.o)
 	}
 	return out, nil
 }
